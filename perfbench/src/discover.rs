@@ -1,8 +1,8 @@
 //! `discover`: cold start on all three datasets. Each discovery session
 //! bootstraps a dataset's Virtual Schema Graph and synthesizes a stream of
 //! 1–4-keyword examples anchored at real observations, without executing
-//! the candidates; it ends with a short look at its first examples of
-//! sizes 1 and 2 (choose, each ExRef operation, preview). The bootstrap crawl, keyword
+//! the candidates; it ends with a short look at its first two examples
+//! (choose, each ExRef operation, preview). The bootstrap crawl, keyword
 //! matching and ASK validation dominate.
 
 use crate::check::Checker;
@@ -23,6 +23,8 @@ use std::time::{Duration, Instant};
 pub const OBSERVATIONS: [usize; 3] = [2_000, 2_000, 2_000];
 /// Examples synthesized per discovery session, for each size 1–4.
 pub const PER_SIZE: usize = 8;
+/// Examples each discovery session explores at its end.
+pub const LOOKS: usize = 2;
 /// Offers previewed in the closing looks.
 pub const PREVIEW_LIMIT: usize = 2;
 /// Set-ups measured per run.
@@ -61,23 +63,15 @@ fn streams(sources: &[Source], stack: &Stack, chunks: usize, seed: u64) -> Vec<V
                         .iter()
                         .flat_map(|pool| pool[c * PER_SIZE..(c + 1) * PER_SIZE].iter().cloned())
                         .collect();
-                    // the first explorable examples of sizes 1 and 2
-                    let (endpoint, schema) =
-                        (stack.endpoints[dataset].as_ref(), &stack.schemas[dataset]);
-                    let looks = [0, PER_SIZE]
+                    // the stream's first two examples
+                    let looks = examples[..LOOKS]
                         .iter()
-                        .map(|&from| {
-                            let example = examples[from..from + PER_SIZE]
-                                .iter()
-                                .chain(&examples[..PER_SIZE])
-                                .find(|e| session::can_explore(endpoint, schema, e))
-                                .expect("a one-keyword example is explorable");
-                            Plan {
-                                dataset,
-                                tries: Vec::new(),
-                                example: example.clone(),
-                                pick: rng.gen_range(0usize..8),
-                            }
+                        .map(|example| Plan {
+                            dataset,
+                            tries: Vec::new(),
+                            example: example.clone(),
+                            pick: rng.gen_range(0usize..8),
+                            doubled: false,
                         })
                         .collect();
                     Stream { examples, looks }
@@ -123,6 +117,9 @@ fn discovery(
         };
         phases.synth.push(ms(start.elapsed()));
         digest.add(outcome.queries.len() as u64);
+        for query in &outcome.queries {
+            digest.add_text(&query.description);
+        }
         if let Some(c) = check.as_deref_mut() {
             if outcome.queries.is_empty() {
                 c.fail(format!(
@@ -286,7 +283,8 @@ pub fn run(args: &Args, dir: &Path) -> Outcome {
         m.put("setup_s", median(&setups), "s");
         m.put("rss_peak_mb", crate::stats::rss_peak_mb(), "MB");
         m.put("bootstrap_ms", median(&boots), "ms");
-        crate::report_phases(&mut m, &phases, phases.synth.len(), &sessions, wall);
+        let rate = phases.synth.len() as f64 / wall;
+        crate::report_phases(&mut m, &phases, rate, &sessions, wall);
     }
     for f in &checker.failures {
         eprintln!("check failed: {f}");

@@ -18,7 +18,8 @@ use std::time::{Duration, Instant};
 
 /// Observations per dataset, in [`NAMES`] order.
 pub const OBSERVATIONS: [usize; 3] = [4_000, 3_000, 2_000];
-/// Distinct rounds; a round is one session on each dataset.
+/// Distinct rounds; a round is one session on each dataset and the fault
+/// session.
 pub const CHUNKS: usize = 24;
 /// Examples an analyst tries before exploring one.
 pub const TRIES: usize = 23;
@@ -30,6 +31,17 @@ pub const PREVIEW_LIMIT: usize = 4;
 pub const SETUPS: usize = 3;
 /// Bootstrap passes measured per run (set-ups included).
 pub const BOOTSTRAPS: usize = 8;
+
+/// The known M-to-N fault, on inputs that do not depend on the seed: the
+/// DBpedia cube generated from this seed at the explore scale, and an
+/// example naming two genres of one artist. Every round explores it once
+/// with every check on; the Similarity result lacks the example's groups,
+/// and the session counts as failed (see [`session::binds_levels_once`]).
+pub const FAULT_SEED: u64 = 52;
+pub const FAULT_EXAMPLE: [&str; 2] = ["Genre 297", "Genre 529"];
+pub const FAULT_PICK: usize = 1;
+/// How the check reports the fault.
+const FAULT_SIGN: &str = " lacks example ";
 
 /// The stores, endpoints and schemas a workload runs on.
 pub struct Stack {
@@ -103,6 +115,7 @@ pub fn plans(sources: &[Source], stack: &Stack, chunks: usize, seed: u64) -> Vec
                         tries,
                         example,
                         pick: rng.gen_range(0usize..8),
+                        doubled: false,
                     }
                 })
                 .collect()
@@ -110,7 +123,16 @@ pub fn plans(sources: &[Source], stack: &Stack, chunks: usize, seed: u64) -> Vec
         .collect()
 }
 
-/// Runs every planned session once; returns the per-session digests.
+/// What one round gave: the per-session digests and the check failures of
+/// its fault session.
+pub struct Round {
+    pub digests: Vec<u64>,
+    pub fault: Vec<String>,
+}
+
+/// Runs every planned session once. The fault session runs with its own
+/// checker and outside the traces; its latency is left out of
+/// `sessions_ms`, which would otherwise time its checks.
 pub fn round(
     sources: &[Source],
     stack: &Stack,
@@ -118,8 +140,11 @@ pub fn round(
     phases: &mut Phases,
     sessions_ms: &mut Vec<f64>,
     mut check: Option<&mut Checker>,
-) -> Result<Vec<u64>, re2xolap::Re2xError> {
-    let mut digests = Vec::with_capacity(plans.len());
+) -> Result<Round, re2xolap::Re2xError> {
+    let mut out = Round {
+        digests: Vec::with_capacity(plans.len()),
+        fault: Vec::new(),
+    };
     phases.begin();
     for plan in plans {
         let target = Target {
@@ -127,8 +152,18 @@ pub fn round(
             schema: &stack.schemas[plan.dataset],
             source: &sources[plan.dataset],
         };
+        if plan.doubled {
+            let traced = trace::enabled();
+            trace::set_enabled(false);
+            let mut own = Checker::default();
+            let digest = session::explore(&target, plan, PREVIEW_LIMIT, phases, Some(&mut own));
+            trace::set_enabled(traced);
+            out.digests.push(digest?);
+            out.fault = own.failures;
+            continue;
+        }
         let start = Instant::now();
-        digests.push(session::explore(
+        out.digests.push(session::explore(
             &target,
             plan,
             PREVIEW_LIMIT,
@@ -138,18 +173,30 @@ pub fn round(
         sessions_ms.push(ms(start.elapsed()));
     }
     phases.end();
-    Ok(digests)
+    Ok(out)
+}
+
+/// `true` when the fault session failed the way the known fault does;
+/// other check failures go to `checker`.
+fn known_fault(fault: &[String], checker: &mut Checker) -> bool {
+    if fault.iter().all(|f| f.contains(FAULT_SIGN)) {
+        return !fault.is_empty();
+    }
+    for f in fault {
+        checker.fail(format!("fault session: {f}"));
+    }
+    false
 }
 
 pub fn run(args: &Args, dir: &Path) -> Outcome {
-    let sources: Vec<Source> = NAMES
+    let mut sources: Vec<Source> = NAMES
         .iter()
         .zip(OBSERVATIONS)
         .map(|(&name, obs)| Source::prepare(dir, name, obs, args.seed))
         .collect();
     let traced = args.trace;
     trace::set_enabled(traced);
-    let (stack, setups, mut boots) = set_up(&sources, SETUPS, traced);
+    let (mut stack, setups, mut boots) = set_up(&sources, SETUPS, traced);
     // more bootstrap passes over the loaded stores
     while boots.len() < BOOTSTRAPS {
         let start = Instant::now();
@@ -160,7 +207,26 @@ pub fn run(args: &Args, dir: &Path) -> Outcome {
     }
     trace::set_enabled(false);
     let setup_profile = Profile::new(trace::take());
-    let plans = plans(&sources, &stack, CHUNKS, args.seed);
+    let mut plans = plans(&sources, &stack, CHUNKS, args.seed);
+    let heap_bytes = stack.endpoints.iter().map(|e| e.graph().heap_bytes()).sum();
+
+    // the fault's fixed inputs, set up once outside the timed set-ups
+    let fault = Source::prepare(dir, NAMES[2], OBSERVATIONS[2], FAULT_SEED);
+    let endpoint: Box<dyn SparqlEndpoint> = Box::new(LocalEndpoint::new(fault.load()));
+    stack
+        .schemas
+        .push(fault.bootstrap(endpoint.as_ref()).schema);
+    stack.endpoints.push(endpoint);
+    sources.push(fault);
+    for chunk in &mut plans {
+        chunk.push(Plan {
+            dataset: sources.len() - 1,
+            tries: Vec::new(),
+            example: FAULT_EXAMPLE.map(str::to_owned).to_vec(),
+            pick: FAULT_PICK,
+            doubled: true,
+        });
+    }
     let warm_start = Instant::now();
 
     // warm-up: every round once, checked
@@ -176,7 +242,10 @@ pub fn run(args: &Args, dir: &Path) -> Outcome {
             &mut sessions,
             Some(&mut checker),
         ) {
-            Ok(d) => expected.push(d),
+            Ok(r) => {
+                known_fault(&r.fault, &mut checker);
+                expected.push(r.digests);
+            }
             Err(e) => {
                 checker.fail(format!("warm-up round failed: {e}"));
                 expected.push(Vec::new());
@@ -205,12 +274,16 @@ pub fn run(args: &Args, dir: &Path) -> Outcome {
             &mut sessions,
             None,
         ) {
-            Ok(digests) if digests != expected[chunk] => {
-                checker.fail(format!(
-                    "round {rounds} results differ from the checked round"
-                ));
+            Ok(r) => {
+                if r.digests != expected[chunk] {
+                    checker.fail(format!(
+                        "round {rounds} results differ from the checked round"
+                    ));
+                }
+                if known_fault(&r.fault, &mut checker) {
+                    failed += 1;
+                }
             }
-            Ok(_) => {}
             Err(e) => {
                 failed += 1;
                 checker.fail(format!("round {rounds}: {e}"));
@@ -227,7 +300,7 @@ pub fn run(args: &Args, dir: &Path) -> Outcome {
     }
     let wall = start.elapsed().as_secs_f64();
     eprintln!(
-        "explore: checked warm-up {warm_s:.1} s; {rounds} rounds in {wall:.1} s; set-ups (s) {setups:.3?}; bootstrap passes (ms) {boots:.0?}"
+        "explore: checked warm-up {warm_s:.1} s; {rounds} rounds in {wall:.1} s, the known fault in {failed}; set-ups (s) {setups:.3?}; bootstrap passes (ms) {boots:.0?}"
     );
 
     let mut m = Metrics::default();
@@ -242,7 +315,7 @@ pub fn run(args: &Args, dir: &Path) -> Outcome {
                 core: &window,
                 rounds: traced_rounds.len() as u64,
                 datasets: &NAMES,
-                heap_bytes: stack.endpoints.iter().map(|e| e.graph().heap_bytes()).sum(),
+                heap_bytes,
             },
         );
         let probe = serve::probe(
@@ -257,14 +330,15 @@ pub fn run(args: &Args, dir: &Path) -> Outcome {
         m.put("setup_s", median(&setups), "s");
         m.put("rss_peak_mb", crate::stats::rss_peak_mb(), "MB");
         m.put("bootstrap_ms", median(&boots), "ms");
-        crate::report_phases(&mut m, &phases, phases.synth.len(), &sessions, wall);
+        let rate = phases.synth.len() as f64 / wall;
+        crate::report_phases(&mut m, &phases, rate, &sessions, wall);
     }
     for f in &checker.failures {
         eprintln!("check failed: {f}");
     }
     Outcome {
         correct: checker.failures.is_empty(),
-        attempted: phases.operations().max(1),
+        attempted: (rounds * plans[0].len()) as u64,
         failed,
         metrics: m,
     }

@@ -60,13 +60,13 @@ fn parse_args() -> Result<Args, String> {
 pub fn report_phases(
     m: &mut Metrics,
     phases: &Phases,
-    syntheses: usize,
+    syntheses_per_s: f64,
     sessions_ms: &[f64],
     wall_s: f64,
 ) {
     m.put("synth_p50_ms", median(&phases.round_synth), "ms");
     m.put("synth_p99_ms", quantile(&phases.synth, 0.99), "ms");
-    m.put("syntheses_per_s", syntheses as f64 / wall_s, "1/s");
+    m.put("syntheses_per_s", syntheses_per_s, "1/s");
     m.put("exec_p50_ms", median(&phases.round_exec), "ms");
     m.put("refine_p50_ms", median(&phases.round_refine), "ms");
     m.put("preview_p50_ms", median(&phases.round_preview), "ms");

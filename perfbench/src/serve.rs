@@ -26,16 +26,20 @@ use std::time::{Duration, Instant};
 
 /// Observations of the served Eurostat cube.
 pub const OBSERVATIONS: usize = 500;
-/// Fixed round-trip of every endpoint call.
+/// Fixed round-trip of every endpoint call and transfer cost per returned
+/// row: the remote-endpoint model of the repository's sharding experiment
+/// (`crates/bench/src/sharding.rs`, its headline configuration).
 pub const ROUND_TRIP: Duration = Duration::from_millis(2);
-/// Transfer cost per returned row.
 pub const PER_ROW: Duration = Duration::from_micros(5);
-/// Distinct examples sessions draw from.
-pub const POOL: usize = 192;
-/// Zipf exponent of example popularity.
-pub const ZIPF_EXPONENT: f64 = 0.9;
-/// Entries per LRU cache of the `analytics` tenant.
-pub const CACHE_CAPACITY: usize = 96;
+/// Zipf exponent of example popularity, as in the repository's serve
+/// experiment (`crates/bench/src/serve.rs`).
+pub const ZIPF_EXPONENT: f64 = 1.1;
+/// Entries per LRU cache of the `analytics` tenant, as in that experiment.
+pub const CACHE_CAPACITY: usize = 64;
+/// Distinct two-keyword examples sessions draw from. Larger than that
+/// experiment's 16 so that the queries of the pool's cold tail overflow
+/// the cache while those of its hot head fit (see the README).
+pub const POOL: usize = 64;
 /// Sessions in one round.
 pub const SESSIONS: usize = 128;
 /// Server worker threads and closed-loop client threads.
@@ -43,6 +47,13 @@ pub const WORKERS: usize = 2;
 pub const CLIENTS: usize = 2;
 /// Set-ups measured per run.
 pub const SETUPS: usize = 3;
+/// Examples of the phase pass: the pool and more from the same draw, so
+/// that its tail percentiles rest on more than the pool's few costliest
+/// examples.
+const PHASE_POOL: usize = 3 * POOL;
+/// Sessions of the phase pass (every example twice) and per round of it.
+const PHASE_SESSIONS: usize = 2 * PHASE_POOL;
+const PHASE_ROUND: usize = 16;
 
 /// The store with the remote endpoint's cost model.
 fn remote(graph: Graph) -> LocalEndpoint {
@@ -103,62 +114,38 @@ impl Zipf {
     }
 }
 
-/// Round shapes following the synthesis round; session `i` takes shape
-/// `i % SHAPES.len()`, so every seed runs the same mix of round kinds.
-const SHAPES: [&[Shape]; 4] = [
-    &[
-        Shape::Refine(RefineOp::Disaggregate),
-        Shape::Refine(RefineOp::TopK),
-    ],
-    &[Shape::Preview(RefineOp::Disaggregate), Shape::Think],
-    &[
-        Shape::Refine(RefineOp::Percentile),
-        Shape::Backtrack,
-        Shape::Refine(RefineOp::Similarity),
-    ],
-    &[
-        Shape::Think,
-        Shape::Refine(RefineOp::Disaggregate),
-        Shape::Preview(RefineOp::TopK),
-    ],
-];
-
-#[derive(Clone, Copy)]
-enum Shape {
-    Refine(RefineOp),
-    Preview(RefineOp),
-    Think,
-    Backtrack,
-}
-
-/// The seeded session mix: a synthesis round, its example drawn Zipf-hot
-/// from the pool (or, with `sweep`, each pool example in turn), then one
-/// of the fixed [`SHAPES`] with seeded picks and think times.
+/// The seeded session mix of the repository's serve experiment: a
+/// synthesis round, its example drawn Zipf-hot from the pool (or, with
+/// `sweep`, each pool example in turn), then 1–4 rounds, each an ExRef
+/// refinement (1/2), a think time of 1–3 ms (1/4), a preview (1/8) or a
+/// backtrack (1/8).
 fn scripts(pool: &[Vec<String>], sessions: usize, sweep: bool, seed: u64) -> Vec<SessionScript> {
     let zipf = Zipf::new(pool.len(), ZIPF_EXPONENT);
     let mut rng = rng(seed ^ 0x5E2F);
     (0..sessions)
         .map(|i| {
+            let drawn = if sweep {
+                i % pool.len()
+            } else {
+                zipf.draw(&mut rng)
+            };
             let mut rounds = vec![RoundOp::Synthesize {
-                example: pool[if sweep {
-                    i % pool.len()
-                } else {
-                    zipf.draw(&mut rng)
-                }]
-                .clone(),
+                example: pool[drawn].clone(),
                 pick: rng.gen_range(0usize..3),
             }];
-            for shape in SHAPES[i % SHAPES.len()] {
-                rounds.push(match *shape {
-                    Shape::Refine(op) => RoundOp::Refine {
-                        op,
+            for _ in 0..rng.gen_range(1usize..5) {
+                rounds.push(match rng.gen_range(0usize..8) {
+                    0..=3 => RoundOp::Refine {
+                        op: RefineOp::ALL[rng.gen_range(0usize..4)],
                         pick: rng.gen_range(0usize..4),
                     },
-                    Shape::Preview(op) => RoundOp::Preview { op },
-                    Shape::Think => RoundOp::Think {
+                    4 | 5 => RoundOp::Think {
                         millis: rng.gen_range(1u64..4),
                     },
-                    Shape::Backtrack => RoundOp::Backtrack,
+                    6 => RoundOp::Preview {
+                        op: RefineOp::ALL[rng.gen_range(0usize..4)],
+                    },
+                    _ => RoundOp::Backtrack,
                 });
             }
             SessionScript {
@@ -235,14 +222,14 @@ fn round(server: &Server, scripts: &[SessionScript], oracle: &[String]) -> Serve
 
 /// Replays the scripts through `re2xolap::Session` with every phase timed
 /// (think rounds are skipped): the per-phase latencies against the remote
-/// endpoint, which the server only reports per session. A round is one
-/// script of each shape; `CLIENTS` threads take alternate rounds.
+/// endpoint, which the server only reports per session. A round is
+/// [`PHASE_ROUND`] scripts; `CLIENTS` threads take alternate rounds.
 fn phase_pass(
     endpoint: &dyn SparqlEndpoint,
     schema: &VirtualSchemaGraph,
     scripts: &[SessionScript],
 ) -> Result<Phases, re2xolap::Re2xError> {
-    let rounds: Vec<&[SessionScript]> = scripts.chunks(SHAPES.len()).collect();
+    let rounds: Vec<&[SessionScript]> = scripts.chunks(PHASE_ROUND).collect();
     let results: Vec<Result<Phases, re2xolap::Re2xError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|t| {
@@ -437,16 +424,8 @@ pub fn run(args: &Args, dir: &Path) -> Outcome {
     trace::set_enabled(false);
     let setup_profile = Profile::new(trace::take());
 
-    let pool = example_workload_on(&graph, &source.meta, 1, POOL / 2, args.seed ^ 0x21F)
-        .into_iter()
-        .chain(example_workload_on(
-            &graph,
-            &source.meta,
-            2,
-            POOL / 2,
-            args.seed ^ 0x22F,
-        ))
-        .collect::<Vec<_>>();
+    let phase_pool = example_workload_on(&graph, &source.meta, 2, PHASE_POOL, args.seed ^ 0x21F);
+    let pool = phase_pool[..POOL].to_vec();
     let scripts = scripts(&pool, SESSIONS, false, args.seed);
     let round_think = think_ms(&scripts);
 
@@ -479,11 +458,13 @@ pub fn run(args: &Args, dir: &Path) -> Outcome {
     // pool example
     trace::set_enabled(traced);
     let phase_store = store(remote(graph.clone()), traced, "adhoc");
-    let phase_scripts = self::scripts(&pool, pool.len(), true, args.seed ^ 0xFA5E);
+    let phase_scripts = self::scripts(&phase_pool, PHASE_SESSIONS, true, args.seed ^ 0xFA5E);
+    let phase_start = Instant::now();
     let phases = phase_pass(phase_store.as_ref(), &schema, &phase_scripts).unwrap_or_else(|e| {
         checker.fail(format!("phase pass failed: {e}"));
         Phases::default()
     });
+    let synth_rate = phases.synth.len() as f64 / phase_start.elapsed().as_secs_f64();
     trace::set_enabled(false);
     let phase_profile = Profile::new(trace::take());
 
@@ -545,8 +526,7 @@ pub fn run(args: &Args, dir: &Path) -> Outcome {
         m.put("setup_s", median(&setups), "s");
         m.put("rss_peak_mb", crate::stats::rss_peak_mb(), "MB");
         m.put("bootstrap_ms", median(&boots), "ms");
-        let syntheses = rounds as usize * scripts.iter().filter(|s| has_synth(s)).count();
-        crate::report_phases(&mut m, &phases, syntheses, &sessions, wall);
+        crate::report_phases(&mut m, &phases, synth_rate, &sessions, wall);
     }
     for f in &checker.failures {
         eprintln!("check failed: {f}");
@@ -557,11 +537,4 @@ pub fn run(args: &Args, dir: &Path) -> Outcome {
         failed,
         metrics: m,
     }
-}
-
-fn has_synth(script: &SessionScript) -> bool {
-    script
-        .rounds
-        .iter()
-        .any(|r| matches!(r, RoundOp::Synthesize { .. }))
 }

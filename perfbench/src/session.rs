@@ -7,18 +7,22 @@ use crate::check::{self, Checker};
 use crate::data::Source;
 use crate::trace::span;
 use re2x_cube::VirtualSchemaGraph;
-use re2x_sparql::SparqlEndpoint;
+use re2x_sparql::{Solutions, SparqlEndpoint, Value};
 use re2xolap::{OlapQuery, Re2xError, RefineOp, Session, SessionConfig, SynthesisOutcome};
 use std::time::Instant;
 
 /// One planned session: which dataset, the examples tried first, the
-/// example explored and which offers to take.
+/// example explored and which offers to take. With `doubled`, the session
+/// explores a candidate whose example tuple names two members of one level
+/// (see [`binds_levels_once`]); otherwise one whose tuples bind each level
+/// once.
 #[derive(Debug, Clone)]
 pub struct Plan {
     pub dataset: usize,
     pub tries: Vec<Vec<String>>,
     pub example: Vec<String>,
     pub pick: usize,
+    pub doubled: bool,
 }
 
 /// Latencies (ms) of the interactive calls, by phase: every call, and
@@ -106,7 +110,8 @@ const REFINE_SPANS: [&str; 4] = [
     "core.refine.sim",
 ];
 
-/// FNV-1a over a stream of counts: two runs of one plan must agree.
+/// FNV-1a over a stream of counts and result values: two runs of one plan
+/// must agree.
 pub struct Digest(u64);
 
 impl Digest {
@@ -121,6 +126,39 @@ impl Digest {
         }
     }
 
+    /// Adds every value of every row: term ids, numbers bit for bit,
+    /// booleans, strings and unbound cells.
+    pub fn add_solutions(&mut self, solutions: &Solutions) {
+        self.add(solutions.len() as u64);
+        for row in &solutions.rows {
+            for cell in row {
+                match cell {
+                    None => self.add(0),
+                    Some(Value::Term(id)) => self.add(1 ^ (u64::from(id.0) << 8)),
+                    Some(Value::Number(x)) => {
+                        self.add(2);
+                        self.add(x.to_bits());
+                    }
+                    Some(Value::Bool(b)) => self.add(3 ^ (u64::from(*b) << 8)),
+                    Some(Value::Str(text)) => {
+                        self.add(4);
+                        for byte in text.bytes() {
+                            self.add(u64::from(byte));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adds a text (a candidate's description).
+    pub fn add_text(&mut self, text: &str) {
+        self.add(text.len() as u64);
+        for byte in text.bytes() {
+            self.add(u64::from(byte));
+        }
+    }
+
     pub fn value(&self) -> u64 {
         self.0
     }
@@ -131,9 +169,11 @@ impl Digest {
 /// A tuple naming two members of one level (two genres of an artist on the
 /// M-to-N DBpedia shape) is a valid candidate, but its result groups that
 /// level in one column, so no row matches the whole tuple and the
-/// Similarity refinement can drop the example's groups. Sessions explore
-/// only candidates without such tuples; the fault is recorded as found.
-pub fn explorable(query: &OlapQuery) -> bool {
+/// Similarity refinement can drop the example's groups. That fault shows
+/// on some seeds only, so the seeded sessions explore candidates that bind
+/// each level once, and `explore` runs the fault on fixed inputs in every
+/// round (`explore::FAULT_EXAMPLE`), counted as a failed session.
+pub fn binds_levels_once(query: &OlapQuery) -> bool {
     query.example.iter().all(|tuple| {
         let mut levels: Vec<_> = tuple.iter().map(|b| b.level).collect();
         levels.sort_unstable();
@@ -142,7 +182,8 @@ pub fn explorable(query: &OlapQuery) -> bool {
     })
 }
 
-/// `true` when synthesizing `example` yields an [`explorable`] candidate.
+/// `true` when synthesizing `example` yields a candidate that binds each
+/// level once.
 pub fn can_explore(
     endpoint: &dyn SparqlEndpoint,
     schema: &VirtualSchemaGraph,
@@ -151,7 +192,7 @@ pub fn can_explore(
     let parts: Vec<&str> = example.iter().map(String::as_str).collect();
     Session::new(endpoint, schema, SessionConfig::default())
         .synthesize(&parts)
-        .is_ok_and(|o| o.queries.iter().any(explorable))
+        .is_ok_and(|o| o.queries.iter().any(binds_levels_once))
 }
 
 fn timed<T>(samples: &mut Vec<f64>, f: impl FnOnce() -> T) -> T {
@@ -197,7 +238,7 @@ fn synthesize(
     Ok(outcome)
 }
 
-/// Runs one session; returns a digest of its result sizes.
+/// Runs one session; returns a digest of its candidates and results.
 pub fn explore(
     target: &Target<'_>,
     plan: &Plan,
@@ -212,6 +253,9 @@ pub fn explore(
     for example in &plan.tries {
         let outcome = synthesize(target, &mut session, example, phases, check.as_deref_mut())?;
         digest.add(outcome.queries.len() as u64);
+        for query in &outcome.queries {
+            digest.add_text(&query.description);
+        }
     }
     let outcome = synthesize(
         target,
@@ -221,19 +265,28 @@ pub fn explore(
         check.as_deref_mut(),
     )?;
     digest.add(outcome.queries.len() as u64);
-    let mut queries: Vec<OlapQuery> = outcome.queries.into_iter().filter(explorable).collect();
+    for query in &outcome.queries {
+        digest.add_text(&query.description);
+    }
+    let mut queries: Vec<OlapQuery> = outcome
+        .queries
+        .into_iter()
+        .filter(|q| binds_levels_once(q) != plan.doubled)
+        .collect();
     if queries.is_empty() {
         return Err(Re2xError::NotApplicable(format!(
-            "example {:?} has no explorable candidate",
+            "example {:?} has no candidate of the planned kind",
             plan.example
         )));
     }
     let chosen = queries.swap_remove(plan.pick % queries.len());
-    let rows = timed(&mut phases.exec, || {
+    timed(&mut phases.exec, || {
         let _span = span("core.execute", tag);
-        session.choose(chosen).map(|step| step.solutions.len())
+        session.choose(chosen).map(|_| ())
     })?;
-    digest.add(rows as u64);
+    if let Some(step) = session.current() {
+        digest.add_solutions(&step.solutions);
+    }
 
     for (op, span_name) in RefineOp::ALL.into_iter().zip(REFINE_SPANS) {
         let offers = timed(&mut phases.refine, || {
@@ -241,6 +294,9 @@ pub fn explore(
             session.refinements(op)
         })?;
         digest.add(offers.len() as u64);
+        for offer in &offers {
+            digest.add_text(&offer.query.description);
+        }
         if offers.is_empty() {
             continue;
         }
@@ -250,7 +306,7 @@ pub fn explore(
             session.preview(shown, 0)
         })?;
         for p in &previews {
-            digest.add(p.len() as u64);
+            digest.add_solutions(p);
         }
         let functional = target.source.functional();
         let parent = match (check.as_deref_mut(), session.current()) {
@@ -264,11 +320,13 @@ pub fn explore(
             _ => None,
         };
         let offer = offers[plan.pick % offers.len()].clone();
-        let rows = timed(&mut phases.exec, || {
+        timed(&mut phases.exec, || {
             let _span = span("core.execute", tag);
-            session.apply(offer).map(|step| step.solutions.len())
+            session.apply(offer).map(|_| ())
         })?;
-        digest.add(rows as u64);
+        if let Some(step) = session.current() {
+            digest.add_solutions(&step.solutions);
+        }
         if let (Some(c), Some((pq, ps)), Some(step)) =
             (check.as_deref_mut(), &parent, session.current())
         {

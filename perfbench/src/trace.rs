@@ -48,6 +48,11 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }
 
+/// Whether spans opened now are recorded.
+pub fn enabled() -> bool {
+    ENABLED.load(Ordering::SeqCst)
+}
+
 fn spans() -> std::sync::MutexGuard<'static, Vec<SpanRec>> {
     SPANS.lock().expect("span recorder is not poisoned")
 }
